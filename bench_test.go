@@ -337,10 +337,10 @@ func BenchmarkExecThroughput(b *testing.B) {
 }
 
 // BenchmarkExecLargeN runs the large-N stress scenario — 10k one-shot
-// sporadic job threads plus periodic background load — on the pooled
-// executive (MaxGoroutines bounds the OS-level goroutine count by the
-// preemption depth, not the thread count). This is the workload the pool
-// opens up: per-thread goroutine mode pays a spawn+park per job, the pool
+// sporadic job threads plus periodic background load — on the direct
+// executive, whose worker pool bounds the OS-level goroutine count by the
+// preemption depth, not the thread count. This is the workload the pool
+// opens up: one goroutine per thread pays a spawn+park per job, the pool
 // recycles a handful of workers.
 func BenchmarkExecLargeN(b *testing.B) {
 	p := experiments.DefaultStressParams()
@@ -391,8 +391,8 @@ func BenchmarkExecObsOverhead(b *testing.B) {
 // (exec.SpawnPeriodic over the worker pool): every entity releases several
 // times over the horizon, and no entity owns a goroutine between releases,
 // so the whole system runs on a pool-sized worker set. This is the
-// workload where looping periodic bodies would degrade the pooled
-// executive back to one pinned worker per entity.
+// workload where looping periodic bodies would degrade the worker pool
+// back to one pinned worker per entity.
 func BenchmarkExecPeriodicSteadyState(b *testing.B) {
 	p := experiments.DefaultSteadyStateParams()
 	b.ReportAllocs()

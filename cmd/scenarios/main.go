@@ -43,7 +43,7 @@ func main() {
 	events := flag.Int("n", 0, "overload: approximate event count; campaign: systems per point (0: default)")
 	seed := flag.Int64("seed", 0, "overload/campaign: workload seed (0: default)")
 	faultsFlag := flag.String("faults", "", "overload: extra fault plan (e.g. 'seed=1 overrun=0.3:0.5'); 'off' or empty for none")
-	pooled := flag.Int("pooled", 0, "overload: run pooled with this many workers (0: goroutine per thread)")
+	pooled := flag.Int("pooled", 0, "overload/smp: resident worker-pool size of the executive (never changes a schedule)")
 	activation := flag.Bool("activation", false, "overload: activation-driven periodic dispatch")
 	quiet := flag.Bool("quiet", false, "overload/smp: one summary line per scenario")
 	progress := flag.Bool("progress", false, "campaign: report live progress (systems/s, ETA) on stderr")

@@ -2,9 +2,8 @@
 //
 // The sporadic scenario (default) releases thousands to tens of thousands
 // of one-shot sporadic job threads plus periodic background load,
-// exercising the pooled thread-body mode (exec.Options.MaxGoroutines) that
-// bounds the OS-level goroutine count by the preemption depth instead of
-// the thread count.
+// exercising the direct kernel's worker pool, which bounds the OS-level
+// goroutine count by the preemption depth instead of the thread count.
 //
 // The steady scenario (-scenario steady) runs thousands to tens of
 // thousands of long-running periodic entities, exercising the
@@ -26,9 +25,10 @@
 // the run executes. All three are observational: the summary lines and
 // the fingerprint are identical with or without them.
 //
-// With -maxgoroutines 0 the executive falls back to one goroutine per
-// thread (the default outside this command), which is useful to compare
-// footprints; the schedule is identical either way. -activation runs the
+// -maxgoroutines sets how many pool workers stay resident once free (0 is
+// the default outside this command); the schedule is identical for every
+// value, and -kernel channel runs the one-goroutine-per-thread reference
+// kernel, which ignores it, to compare footprints. -activation runs the
 // periodic entities (steady scenario) or background threads (sporadic
 // scenario) on the activation path; -activation=false compares against
 // parked periodic loops — again schedule-identical.
@@ -54,7 +54,7 @@ func main() {
 	steadyDef := experiments.DefaultSteadyStateParams()
 	scenario := flag.String("scenario", "sporadic", "workload: sporadic (one-shot jobs) or steady (periodic entities)")
 	n := flag.Int("n", 0, "job count (sporadic) or entity count (steady); 0 = scenario default")
-	maxg := flag.Int("maxgoroutines", def.MaxGoroutines, "pool size; 0 = one goroutine per thread")
+	maxg := flag.Int("maxgoroutines", def.MaxGoroutines, "resident worker-pool size (direct kernel); any value >= 0 schedules identically")
 	kernel := flag.String("kernel", "direct", "executive kernel: direct or channel")
 	activation := flag.Bool("activation", true, "periodic entities use activation dispatch (no goroutine between releases)")
 	background := flag.Int("background", def.Background, "periodic background threads (sporadic scenario)")

@@ -11,9 +11,9 @@ import (
 //
 // A thread spawned with SpawnPeriodic has no long-lived body goroutine:
 // instead of a loop that parks on "work; WaitForNextPeriod()", the kernel
-// dispatches the body once per release — on a pool worker in pooled mode
-// (Options.MaxGoroutines > 0), or on a short-lived goroutine otherwise —
-// and the body RETURNING is the release boundary. The kernel then rearms
+// dispatches the body once per release — on a pool worker on the direct
+// kernel, or on a short-lived goroutine on the channel kernel — and the
+// body RETURNING is the release boundary. The kernel then rearms
 // the entity: it advances the release instant by one period, skips (and
 // counts, see Thread.MissedActivations) any releases the body overran
 // past, and applies exactly the sleep request a per-thread loop's
@@ -50,8 +50,8 @@ type ActivationSpec struct {
 }
 
 // SpawnPeriodic creates an activation-driven periodic entity: body runs
-// once per release, on a pool worker (Options.MaxGoroutines > 0) or a
-// per-activation goroutine otherwise, and returning from body ends the
+// once per release, on a pool worker (direct kernel) or a per-activation
+// goroutine (channel kernel), and returning from body ends the
 // activation — the kernel rearms the entity for its next release,
 // skipping (and counting) releases the body overran past. The schedule is
 // identical to a Spawn'ed thread looping "body; sleep-until-next-release",
@@ -84,8 +84,8 @@ func (ex *Exec) SpawnPeriodicOn(name string, prio, cpu int, spec ActivationSpec,
 		th.prio = th.dynPrio(startAt)
 		th.boost = th.prio
 	}
-	// Unlike Spawn, no goroutine is created even outside pooled mode: the
-	// body is dispatched lazily at each release (handoff on the direct
+	// Unlike Spawn, no goroutine is created even on the channel kernel:
+	// the body is dispatched lazily at each release (handoff on the direct
 	// kernel, resume on the channel kernel).
 	ex.scheduleFirstRelease(th, startAt)
 	return th

@@ -13,8 +13,8 @@ import (
 // periodic workload expressed as SpawnPeriodic activations must be
 // trace-for-trace identical to the same workload expressed as looping
 // Spawn threads (work; sleep-until-next-release), on every executive
-// configuration — the full {Channel, Direct} × {per-thread, pooled,
-// activation} matrix, with channel/per-thread/loop as the reference.
+// configuration (diffConfigs) in both formulations, with the channel
+// kernel's loop formulation as the reference.
 
 // periodicEntity is one periodic workload item, buildable either as a
 // looping thread or as an activation entity.
@@ -91,7 +91,7 @@ func activationDiffRun(t *testing.T, name string, horizon rtime.Time,
 	defer ref.Shutdown()
 	for _, cfg := range diffConfigs {
 		for _, activation := range []bool{false, true} {
-			if cfg.opts.Kernel == ChannelKernel && cfg.opts.MaxGoroutines == 0 && !activation {
+			if cfg.name == "channel" && !activation {
 				continue // the reference itself
 			}
 			label := fmt.Sprintf("%s/%s-act=%v", name, cfg.name, activation)
@@ -268,12 +268,13 @@ func TestActivationBodyPanicTerminates(t *testing.T) {
 }
 
 func TestActivationGoroutineFootprint(t *testing.T) {
-	// Many periodic entities, pooled: the goroutine count is bounded by the
-	// pool, not the entity count — the whole point of the activation path.
+	// Many periodic entities on the worker pool: the goroutine count is
+	// bounded by the pool, not the entity count — the whole point of the
+	// activation path.
 	const n = 400
-	for _, kind := range []Kernel{DirectKernel, ChannelKernel} {
+	for _, size := range []int{0, 8} {
 		before := runtime.NumGoroutine()
-		ex := NewWithOptions(nil, Options{Kernel: kind, MaxGoroutines: 8})
+		ex := NewWithOptions(nil, Options{MaxGoroutines: size})
 		done := 0
 		for i := 0; i < n; i++ {
 			prio := 2 + i%5
@@ -285,14 +286,14 @@ func TestActivationGoroutineFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if peak := ex.PoolPeak(); peak == 0 || peak > 8+1 {
-			t.Errorf("%v: pool peaked at %d workers for %d entities, want <= pool size", kind, peak, n)
+			t.Errorf("cap %d: pool peaked at %d workers for %d entities, want <= 9", size, peak, n)
 		}
 		if done < n {
-			t.Errorf("%v: only %d of %d entities ever activated", kind, done, n)
+			t.Errorf("cap %d: only %d of %d entities ever activated", size, done, n)
 		}
 		ex.Shutdown()
 		if after := runtime.NumGoroutine(); after > before+4 {
-			t.Errorf("%v: goroutines leaked: before=%d after=%d", kind, before, after)
+			t.Errorf("cap %d: goroutines leaked: before=%d after=%d", size, before, after)
 		}
 	}
 }

@@ -25,14 +25,16 @@
 //     consecutive same-thread Consume/advance/sleep steps never leave the
 //     goroutine, and a real parked-goroutine handoff (mutex + condition
 //     variable, one futex wake per switch) happens only when a *different*
-//     thread must run. The ready queue and timer queue are binary heaps.
+//     thread must run. The ready queue and timer queue are binary heaps,
+//     and thread bodies run on a bounded pool of worker goroutines.
 //
 //   - ChannelKernel: the original two-channel rendezvous (kernel goroutine
 //     resumes a thread, thread sends its next request back), with linear
-//     ready/timer scans. It is kept as the reference implementation
-//     (unchanged except one deliberate fix noted in kernel_channel.go:
-//     cancelled timers never fire); differential tests assert both kernels
-//     produce trace-for-trace identical schedules.
+//     ready/timer scans and one goroutine per thread. It is kept as the
+//     reference implementation (unchanged except one deliberate fix noted
+//     in kernel_channel.go: cancelled timers never fire); differential
+//     tests assert both kernels produce trace-for-trace identical
+//     schedules.
 //
 // Use New for the default direct kernel, NewKernel to pick explicitly, and
 // NewWithOptions for full configuration. There is no reason to run
@@ -47,11 +49,13 @@
 //
 // # Pooled workers
 //
-// Orthogonally to the kernel choice, Options.MaxGoroutines multiplexes
-// thread bodies over a bounded pool of worker goroutines (pool.go) instead
-// of dedicating one goroutine per thread, so a system with tens of
-// thousands of mostly run-to-completion threads needs only a handful of
-// OS-level goroutines. Scheduling decisions are identical in both modes.
+// The direct kernel multiplexes thread bodies over a pool of worker
+// goroutines (pool.go): a body starts on a worker the first time the
+// scheduler runs its thread, and the worker is recycled when the body
+// returns, so a system with tens of thousands of mostly run-to-completion
+// threads needs only a handful of goroutines — the live count is bounded
+// by the preemption depth. Options.MaxGoroutines is the number of workers
+// kept resident once free; it never changes a scheduling decision.
 //
 // # Activation-driven periodic entities
 //
@@ -67,14 +71,12 @@
 //
 // # Choosing a configuration
 //
-//   - Default (per-thread, direct kernel): small systems, simplest
-//     debugging — every thread is a parked goroutine with a full stack.
-//   - Pooled (Options.MaxGoroutines > 0): many mostly run-to-completion
-//     threads (sporadic job floods); goroutine count bounded by preemption
-//     depth.
-//   - Pooled + SpawnPeriodic for periodic load: many long-running periodic
-//     entities; removes the last per-entity goroutine.
+//   - Spawn for one-shot and sporadic work: the body occupies a pool worker
+//     only while it is in progress.
+//   - SpawnPeriodic for periodic load: many long-running periodic entities
+//     pin no worker between releases, where a looping body pins one for
+//     the whole run.
 //
-// Every configuration is differential-tested to produce identical
+// Both formulations are differential-tested to produce identical
 // schedules, so the choice is purely a resource/performance trade.
 package exec

@@ -32,21 +32,20 @@ func (k Kernel) String() string {
 type Options struct {
 	// Kernel selects the scheduling implementation (default DirectKernel).
 	Kernel Kernel
-	// MaxGoroutines, when positive, multiplexes thread bodies over a
-	// bounded pool of worker goroutines instead of one goroutine per
-	// thread: a thread's goroutine is materialized lazily the first time
-	// the scheduler runs it, and when its body returns the worker is
-	// recycled for other bodies. MaxGoroutines is the pool's resident
-	// size: workers beyond it retire as bodies finish, one per finish,
-	// unless the finishing worker is the only one available to serve an
-	// immediately following start (then it is reused instead). The
-	// pool can transiently exceed the cap when more than MaxGoroutines
-	// bodies are suspended mid-execution at once (each suspended body pins
-	// its worker's stack) — the bound that holds is the peak number of
-	// concurrently in-progress bodies, which for run-to-completion
-	// workloads is tiny regardless of the thread count. Zero (the default)
-	// keeps the goroutine-per-thread mode. Scheduling is identical either
-	// way, enforced by the kernel differential tests.
+	// MaxGoroutines is the resident size of the worker pool the direct
+	// kernel runs thread bodies on (pool.go). A thread's body starts on a
+	// worker the first time the scheduler runs it, and when the body
+	// returns the worker is recycled for other bodies. Workers beyond
+	// MaxGoroutines retire as bodies finish, one per finish, unless the
+	// finishing worker is the only one available to serve an immediately
+	// following start (then it is reused instead). Zero is valid: it keeps
+	// no worker beyond that one. The pool can transiently exceed the cap
+	// when more than MaxGoroutines bodies are suspended mid-execution at
+	// once (each suspended body pins its worker's stack) — the bound that
+	// holds is the peak number of concurrently in-progress bodies, which
+	// for run-to-completion workloads is tiny regardless of the thread
+	// count. Scheduling is identical for every value. The channel kernel
+	// ignores MaxGoroutines: it runs one goroutine per thread.
 	MaxGoroutines int
 	// CPUs is the number of virtual CPUs the executive schedules (see
 	// smp.go). Zero and one are the uniprocessor: the same code path with
@@ -170,10 +169,10 @@ type Thread struct {
 	killed    bool // shutdown kill flag; guarded by mu
 	heapIdx   int  // position in the ready heap, -1 when not enqueued
 
-	// Pooled mode: whether the body has been handed to a worker yet (a
-	// thread that never starts never costs a goroutine), and the fate
-	// struct of the worker currently running the body (bound per dispatch
-	// by poolWorker, written by bodyFinished).
+	// Whether the body has been handed to a goroutine yet (on the direct
+	// kernel a thread that never runs never costs one), and the fate
+	// struct of the pool worker currently running the body (bound per
+	// dispatch by poolWorker, written by bodyFinished).
 	started bool
 	worker  *workerFate
 
@@ -277,9 +276,8 @@ type Exec struct {
 	stats   Stats         // instrument set; zero (all nil) when disabled
 	statsOn bool          // Options.Stats was non-nil; guards hook bodies
 
-	// Pooled mode (Options.MaxGoroutines > 0): the shared worker pool.
-	pooled bool
-	pool   workerPool
+	// DirectKernel worker pool (Options.MaxGoroutines resident workers).
+	pool workerPool
 
 	// ChannelKernel state: pending timers (linear) and the request channel.
 	timers []*timerEv
@@ -343,7 +341,7 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 	if sink == nil {
 		sink = trace.Nop{}
 	}
-	ex := &Exec{kind: opts.Kernel, sink: sink, pooled: opts.MaxGoroutines > 0}
+	ex := &Exec{kind: opts.Kernel, sink: sink}
 	ex.tr, _ = sink.(*trace.Trace)
 	ex.cpuSink, _ = sink.(trace.CPUSink)
 	if opts.Stats != nil {
@@ -394,25 +392,19 @@ func NewWithOptions(sink trace.Sink, opts Options) *Exec {
 	// out of the hot path.
 	ex.main.L = &ex.mu
 	ex.reap.L = &ex.mu
-	if ex.pooled {
-		ex.pool.init(opts.MaxGoroutines)
-	}
+	ex.pool.init(opts.MaxGoroutines)
 	return ex
 }
 
 // KernelKind returns the kernel this executive runs on.
 func (ex *Exec) KernelKind() Kernel { return ex.kind }
 
-// Pooled reports whether thread bodies are multiplexed over the worker
-// pool (Options.MaxGoroutines > 0).
-func (ex *Exec) Pooled() bool { return ex.pooled }
-
 // PoolPeak returns the peak number of pool worker goroutines that have
-// existed simultaneously (0 in goroutine-per-thread mode).
+// existed simultaneously (0 on the channel kernel).
 func (ex *Exec) PoolPeak() int { return ex.pool.peakWorkers() }
 
 // PoolSpawned returns the total number of pool worker goroutines ever
-// created (0 in goroutine-per-thread mode). PoolSpawned equal to PoolPeak
+// created (0 on the channel kernel). PoolSpawned equal to PoolPeak
 // means every worker was reused until the pool quiesced — no
 // retire-then-respawn churn.
 func (ex *Exec) PoolSpawned() int { return ex.pool.spawnedWorkers() }
@@ -647,8 +639,6 @@ func (ex *Exec) Shutdown() {
 		ex.shutdownChannel()
 	} else {
 		ex.shutdownDirect()
-	}
-	if ex.pooled {
 		ex.pool.close()
 	}
 }

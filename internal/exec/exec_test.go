@@ -270,16 +270,18 @@ func TestQuiescenceStopsEarly(t *testing.T) {
 
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		ex := New(nil)
-		q := NewWaitQueue("never")
-		ex.Spawn("blocked", 1, 0, func(tc *TC) { tc.Wait(q) })
-		ex.Spawn("sleeper", 1, 0, func(tc *TC) { tc.SleepUntil(at(1e6)) })
-		ex.Spawn("never-started", 1, at(1e6), func(tc *TC) {})
-		if err := ex.Run(at(5)); err != nil {
-			t.Fatal(err)
+	for _, kind := range []Kernel{DirectKernel, ChannelKernel} {
+		for i := 0; i < 20; i++ {
+			ex := NewKernel(nil, kind)
+			q := NewWaitQueue("never")
+			ex.Spawn("blocked", 1, 0, func(tc *TC) { tc.Wait(q) })
+			ex.Spawn("sleeper", 1, 0, func(tc *TC) { tc.SleepUntil(at(1e6)) })
+			ex.Spawn("never-started", 1, at(1e6), func(tc *TC) {})
+			if err := ex.Run(at(5)); err != nil {
+				t.Fatal(err)
+			}
+			ex.Shutdown()
 		}
-		ex.Shutdown()
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+3 && time.Now().Before(deadline) {

@@ -31,11 +31,6 @@ func (th *Thread) channelRun() {
 	th.channelBody()
 }
 
-// runPooledChannel runs the body on a pool worker (ChannelKernel, pooled
-// mode). The kernel loop just resumed the thread by handing it to the pool,
-// so there is no initial rendezvous on resumeCh.
-func (th *Thread) runPooledChannel() { th.channelBody() }
-
 // channelBody executes the body with the executive's panic discipline and
 // reports termination — or, for an activation entity that completed
 // normally, the rearm for its next release — to the kernel loop.
@@ -47,12 +42,6 @@ func (th *Thread) channelBody() {
 				err = fmt.Errorf("exec: thread %s panicked: %v", th.name, r)
 			}
 		}
-		if th.ex.pooled {
-			// Declare this worker free (or retire it) before the kernel
-			// loop learns of the termination and possibly starts the next
-			// unstarted thread.
-			th.ex.bodyFinished(th)
-		}
 		kind := reqTerminate
 		if th.periodic && err == nil && !th.ex.shutdown {
 			kind = reqRearm
@@ -63,20 +52,14 @@ func (th *Thread) channelBody() {
 }
 
 // resume lets th execute user code to its next kernel call: waking its
-// parked goroutine, or — for an unstarted body (pooled thread before first
-// dispatch, or an activation entity at a release) — dispatching the body
-// on a pool worker, or a fresh per-activation goroutine outside pooled
-// mode.
+// parked goroutine, or — for an activation entity at a release — starting
+// a fresh per-activation goroutine.
 func (ex *Exec) resume(th *Thread) {
 	ex.stats.ContextSwitches.Inc()
 	if !th.started {
 		th.started = true
 		th.detached = false
-		if ex.pooled {
-			ex.startThread(th)
-		} else {
-			go th.channelBody()
-		}
+		go th.channelBody()
 		return
 	}
 	th.resumeCh <- resumeMsg{}
@@ -223,9 +206,8 @@ func (ex *Exec) shutdownChannel() {
 			continue
 		}
 		if !th.started {
-			// No body in progress, so there is no goroutine to unwind: a
-			// pooled thread never dispatched, or an activation entity
-			// between releases (on any executive configuration).
+			// No body in progress, so there is no goroutine to unwind: an
+			// activation entity between releases.
 			th.state = stateDone
 			continue
 		}

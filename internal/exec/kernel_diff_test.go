@@ -9,15 +9,17 @@ import (
 )
 
 // Differential kernel tests: every scenario is built identically on every
-// executive configuration — {ChannelKernel, DirectKernel} × {one goroutine
-// per thread, pooled workers} — and must produce trace-for-trace identical
-// schedules — same segments, same preemption points, same virtual
-// timestamps, same point events, same per-thread accounting. The channel
-// kernel in goroutine-per-thread mode is the reference implementation.
+// executive configuration — the channel kernel (one goroutine per thread)
+// and the direct kernel (bodies on its worker pool) at two resident sizes —
+// and must produce trace-for-trace identical schedules — same segments,
+// same preemption points, same virtual timestamps, same point events, same
+// per-thread accounting. The channel kernel is the reference
+// implementation.
 
 // diffConfigs is the executive configuration matrix under differential
-// test. The small MaxGoroutines forces worker recycling (and transient
-// over-cap growth) inside the scenarios rather than hiding it.
+// test. The direct kernel runs at the default resident pool size (0) and
+// at a small one; both force worker recycling (and transient over-cap
+// growth) inside the scenarios rather than hiding it.
 // The two smp1 entries run the whole corpus through the M=1 SMP
 // reduction — an explicit CPU count and a non-trivial migration policy —
 // which must stay byte-identical to the uniprocessor schedules
@@ -28,7 +30,6 @@ var diffConfigs = []struct {
 }{
 	{"channel", Options{Kernel: ChannelKernel}},
 	{"direct", Options{Kernel: DirectKernel}},
-	{"channel-pooled", Options{Kernel: ChannelKernel, MaxGoroutines: 2}},
 	{"direct-pooled", Options{Kernel: DirectKernel, MaxGoroutines: 2}},
 	{"channel-smp1", Options{Kernel: ChannelKernel, CPUs: 1, Migration: Clustered}},
 	{"direct-smp1", Options{Kernel: DirectKernel, CPUs: 1, Migration: Partitioned}},

@@ -34,24 +34,11 @@ import (
 // keyed exactly like the channel kernel's linear-scan tie-breaks; with one
 // CPU the assignment degenerates to "the heap top runs", the pre-SMP loop.
 
-// directRun is the goroutine wrapper around a thread body (DirectKernel,
-// goroutine-per-thread mode).
-func (th *Thread) directRun() {
-	if msg := th.park(); msg.kill {
-		th.directFinish(nil)
-		return
-	}
-	th.directBody()
-}
-
-// runPooledDirect runs the body on a pool worker (DirectKernel, pooled
-// mode). The thread was just picked by the scheduler, so unlike directRun
-// there is no initial park: the worker already holds the virtual CPU.
-func (th *Thread) runPooledDirect() { th.directBody() }
-
-// directBody executes the body with the executive's panic discipline and
-// finishes the thread — or, for an activation entity that completed
-// normally, rearms it for the next release instead.
+// directBody executes the body on a pool worker with the executive's panic
+// discipline and finishes the thread — or, for an activation entity that
+// completed normally, rearms it for the next release instead. The thread
+// was just picked by the scheduler, so the worker already holds the
+// virtual CPU.
 func (th *Thread) directBody() {
 	var err error
 	func() {
@@ -72,23 +59,21 @@ func (th *Thread) directBody() {
 }
 
 // directRearm ends one activation: the body just returned, so detach it
-// (this goroutine leaves, but the thread lives on to its next release),
+// (this worker leaves, but the thread lives on to its next release),
 // rearm the release bookkeeping and keep scheduling until the token is
 // handed off — the activation analogue of directFinish.
 func (th *Thread) directRearm() {
 	ex := th.ex
 	th.detached = true
 	ex.rearm(th)
-	if ex.pooled {
-		// Declare this worker free (or retire it) before the token is
-		// handed on, exactly as directFinish does for a terminating body.
-		ex.bodyFinished(th)
-	}
+	// Declare this worker free (or retire it) before the token is handed
+	// on, exactly as directFinish does for a terminating body.
+	ex.bodyFinished(th)
 	ex.dispatch(th)
 }
 
 // directFinish terminates the thread: during a run it applies the terminate
-// request and keeps scheduling in this goroutine until the token is handed
+// request and keeps scheduling on this worker until the token is handed
 // off; during shutdown it only reports the death to the reaper.
 func (th *Thread) directFinish(err error) {
 	ex := th.ex
@@ -104,12 +89,10 @@ func (th *Thread) directFinish(err error) {
 		return
 	}
 	ex.apply(request{th: th, kind: reqTerminate, err: err})
-	if ex.pooled {
-		// Declare this worker free (or retire it) before the token is
-		// handed on, so a successor thread starting right away reuses it
-		// instead of growing the pool.
-		ex.bodyFinished(th)
-	}
+	// Declare this worker free (or retire it) before the token is handed
+	// on, so a successor thread starting right away reuses it instead of
+	// growing the pool.
+	ex.bodyFinished(th)
 	ex.dispatch(th)
 }
 
@@ -165,11 +148,10 @@ func (ex *Exec) wakeMain() {
 
 // handoff transfers the token from cur (nil for the Run goroutine) to next
 // and parks cur. A terminated or detached cur hands off without parking:
-// its goroutine is about to exit (or return to the pool). A thread whose
-// body has not started — a pooled thread before its first dispatch, or an
-// activation entity at a release — is handed to a pool worker (or a fresh
-// per-activation goroutine outside pooled mode) instead of woken: it has
-// no goroutine parked yet.
+// its worker is about to return to the pool. A thread whose body has not
+// started — a thread before its first dispatch, or an activation entity at
+// a release — is handed to a pool worker instead of woken: it has no
+// goroutine parked yet.
 func (ex *Exec) handoff(cur, next *Thread) resumeMsg {
 	ex.stats.ContextSwitches.Inc()
 	// Read our own state while we still hold the token: the instant next
@@ -181,11 +163,7 @@ func (ex *Exec) handoff(cur, next *Thread) resumeMsg {
 	if !next.started {
 		next.started = true
 		next.detached = false
-		if ex.pooled {
-			ex.startThread(next)
-		} else {
-			go next.directBody()
-		}
+		ex.startThread(next)
 	} else {
 		ex.wake(next)
 	}
@@ -321,11 +299,11 @@ func (ex *Exec) dispatch(cur *Thread) resumeMsg {
 				return resumeMsg{} // Run goroutine: runDirect returns
 			}
 			// Read before the token moves; a detached cur must not park —
-			// its goroutine is leaving while the thread sleeps on.
+			// its worker is leaving while the thread sleeps on.
 			curDone := cur.state == stateDone || cur.detached
 			ex.wakeMain()
 			if curDone {
-				return resumeMsg{} // goroutine exits via directFinish
+				return resumeMsg{} // worker returns to the pool via directFinish
 			}
 			return cur.park() // resumes in a later Run (or unwinds on kill)
 		default:
@@ -344,8 +322,8 @@ func (ex *Exec) shutdownDirect() {
 		}
 		if !th.started {
 			// No body in progress, so there is no goroutine to unwind: a
-			// pooled thread never dispatched, or an activation entity
-			// between releases (on any executive configuration).
+			// thread never dispatched, or an activation entity between
+			// releases.
 			th.state = stateDone
 			continue
 		}

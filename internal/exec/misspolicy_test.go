@@ -89,7 +89,7 @@ func TestMissContinueLateLoopActivationParity(t *testing.T) {
 	}
 	for _, cfg := range diffConfigs {
 		for _, activation := range []bool{false, true} {
-			if cfg.opts.Kernel == ChannelKernel && cfg.opts.MaxGoroutines == 0 && !activation {
+			if cfg.name == "channel" && !activation {
 				continue
 			}
 			label := fmt.Sprintf("%s-act=%v", cfg.name, activation)

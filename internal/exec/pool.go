@@ -2,24 +2,24 @@ package exec
 
 import "sync"
 
-// workerPool multiplexes thread bodies over a bounded set of goroutines
-// (Options.MaxGoroutines). It is shared by both kernels: only the body
-// runner differs (runPooledDirect / runPooledChannel).
+// workerPool multiplexes the direct kernel's thread bodies over a bounded
+// set of goroutines (Options.MaxGoroutines resident workers); it is the
+// only way that kernel runs a body. The channel kernel, the reference the
+// differential tests compare against, keeps one goroutine per thread and
+// never touches the pool.
 //
-// Why a pool is possible at all: the executive is a uniprocessor — at any
-// instant at most one thread executes user code, and the scheduler hands a
-// brand-new thread to the pool only at that single point (the token owner
-// in the direct kernel, the kernel loop in the channel kernel). A worker is
-// therefore pinned only while "its" body is in progress (running, or parked
-// mid-body at a kernel call); when the body returns, the worker is recycled
-// for the next unstarted thread. For run-to-completion workloads the number
-// of bodies simultaneously in progress — and hence the number of live
-// workers — is bounded by the preemption depth, not by the thread count.
+// Why a pool is possible at all: at any instant exactly one goroutine
+// holds the scheduling token, and only the token owner hands a brand-new
+// thread to the pool. A worker is therefore pinned only while "its" body
+// is in progress (running, or parked mid-body at a kernel call); when the
+// body returns, the worker is recycled for the next unstarted thread. For
+// run-to-completion workloads the number of bodies simultaneously in
+// progress — and hence the number of live workers — is bounded by the
+// preemption depth, not by the thread count.
 //
 // Worker accounting is race-free by construction: a finishing body calls
-// bodyFinished *before* the scheduling token moves on (before the direct
-// kernel wakes the successor, before the channel kernel receives the
-// terminate request), so when the scheduler next starts an unstarted
+// bodyFinished *before* the scheduling token moves on (before the kernel
+// wakes the successor), so when the scheduler next starts an unstarted
 // thread, the just-freed worker is already counted available and is reused
 // instead of spawning a fresh goroutine. The pool's peak size therefore
 // equals the true peak of concurrently in-progress bodies.
@@ -191,11 +191,7 @@ func (ex *Exec) poolWorker() {
 		p.mu.Unlock()
 		counted = false
 
-		if ex.kind == ChannelKernel {
-			th.runPooledChannel()
-		} else {
-			th.runPooledDirect()
-		}
+		th.directBody()
 
 		if fate.retire {
 			return // bodyFinished already dropped it from live

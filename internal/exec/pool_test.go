@@ -10,80 +10,76 @@ import (
 	"rtsj/internal/trace"
 )
 
-// TestPooledBoundedGoroutines is the pooled executive's headline property:
+// TestPooledBoundedGoroutines is the worker pool's headline property:
 // thousands of run-to-completion threads execute on a handful of worker
 // goroutines. The peak worker count is bounded by the preemption depth
 // (how many bodies are suspended mid-execution at once), not by the
 // thread count.
 func TestPooledBoundedGoroutines(t *testing.T) {
 	const n = 2000
-	for _, kind := range []Kernel{DirectKernel, ChannelKernel} {
-		t.Run(kind.String(), func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			ex := NewWithOptions(nil, Options{Kernel: kind, MaxGoroutines: 8})
-			rng := newDetRand(7)
-			done := 0
-			for i := 0; i < n; i++ {
-				prio := 1 + rng.next()%4
-				start := rtime.Time(rtime.Duration(rng.next()%5000) * rtime.TU / 10)
-				cost := rtime.Duration(1+rng.next()%10) * rtime.TU / 10
-				ex.Spawn(fmt.Sprintf("job%d", i), prio, start, func(tc *TC) {
-					tc.Consume(cost)
-					done++
-				})
-			}
-			if err := ex.Run(at(2000)); err != nil {
+	t.Run(DirectKernel.String(), func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		ex := NewWithOptions(nil, Options{MaxGoroutines: 8})
+		rng := newDetRand(7)
+		done := 0
+		for i := 0; i < n; i++ {
+			prio := 1 + rng.next()%4
+			start := rtime.Time(rtime.Duration(rng.next()%5000) * rtime.TU / 10)
+			cost := rtime.Duration(1+rng.next()%10) * rtime.TU / 10
+			ex.Spawn(fmt.Sprintf("job%d", i), prio, start, func(tc *TC) {
+				tc.Consume(cost)
+				done++
+			})
+		}
+		if err := ex.Run(at(2000)); err != nil {
+			t.Fatal(err)
+		}
+		ex.Shutdown()
+		if done != n {
+			t.Fatalf("completed %d of %d jobs", done, n)
+		}
+		if peak := ex.PoolPeak(); peak > 8 {
+			t.Errorf("pool peaked at %d workers, want <= MaxGoroutines (8)", peak)
+		}
+		// The process never carried anything close to one goroutine
+		// per thread.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before+8 && time.Now().Before(deadline) {
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before+16 {
+			t.Errorf("goroutines: before=%d after=%d (pool leaked)", before, after)
+		}
+	})
+}
+
+// TestPooledShutdownReleasesGoroutines: killed mid-body threads, sleepers,
+// and never-started threads (which never got a worker at all) must all be
+// reaped, and the resident workers with them.
+func TestPooledShutdownReleasesGoroutines(t *testing.T) {
+	t.Run(DirectKernel.String(), func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		for i := 0; i < 20; i++ {
+			ex := NewWithOptions(nil, Options{MaxGoroutines: 4})
+			q := NewWaitQueue("never")
+			ex.Spawn("blocked", 1, 0, func(tc *TC) { tc.Wait(q) })
+			ex.Spawn("sleeper", 1, 0, func(tc *TC) { tc.SleepUntil(at(1e6)) })
+			ex.Spawn("never-started", 1, at(1e6), func(tc *TC) {})
+			if err := ex.Run(at(5)); err != nil {
 				t.Fatal(err)
 			}
 			ex.Shutdown()
-			if done != n {
-				t.Fatalf("completed %d of %d jobs", done, n)
-			}
-			if peak := ex.PoolPeak(); peak > 8 {
-				t.Errorf("pool peaked at %d workers, want <= MaxGoroutines (8)", peak)
-			}
-			// The process never carried anything close to one goroutine
-			// per thread.
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before+8 && time.Now().Before(deadline) {
-				runtime.Gosched()
-				time.Sleep(time.Millisecond)
-			}
-			if after := runtime.NumGoroutine(); after > before+16 {
-				t.Errorf("goroutines: before=%d after=%d (pool leaked)", before, after)
-			}
-		})
-	}
-}
-
-// TestPooledShutdownReleasesGoroutines mirrors the per-thread shutdown
-// test: killed mid-body threads, sleepers, and never-started threads (which
-// in pooled mode never got a goroutine at all) must all be reaped.
-func TestPooledShutdownReleasesGoroutines(t *testing.T) {
-	for _, kind := range []Kernel{DirectKernel, ChannelKernel} {
-		t.Run(kind.String(), func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			for i := 0; i < 20; i++ {
-				ex := NewWithOptions(nil, Options{Kernel: kind, MaxGoroutines: 4})
-				q := NewWaitQueue("never")
-				ex.Spawn("blocked", 1, 0, func(tc *TC) { tc.Wait(q) })
-				ex.Spawn("sleeper", 1, 0, func(tc *TC) { tc.SleepUntil(at(1e6)) })
-				ex.Spawn("never-started", 1, at(1e6), func(tc *TC) {})
-				if err := ex.Run(at(5)); err != nil {
-					t.Fatal(err)
-				}
-				ex.Shutdown()
-			}
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before+3 && time.Now().Before(deadline) {
-				runtime.Gosched()
-				time.Sleep(time.Millisecond)
-			}
-			if after := runtime.NumGoroutine(); after > before+5 {
-				t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
-			}
-		})
-	}
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before+3 && time.Now().Before(deadline) {
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before+5 {
+			t.Fatalf("goroutines leaked: before=%d after=%d", before, after)
+		}
+	})
 }
 
 // TestPooledOverCapAndRetire pins the resident-size semantics: when more
@@ -114,36 +110,34 @@ func TestPooledOverCapAndRetire(t *testing.T) {
 // reuse the over-cap worker when it is the only one available, instead of
 // retiring it and respawning a fresh goroutine for every job.
 func TestPooledBurstNoChurn(t *testing.T) {
-	for _, kind := range []Kernel{DirectKernel, ChannelKernel} {
-		t.Run(kind.String(), func(t *testing.T) {
-			ex := NewWithOptions(nil, Options{Kernel: kind, MaxGoroutines: 1})
-			// Phase 1: a priority ladder forces the pool two over its cap.
-			for i := 0; i < 3; i++ {
-				ex.Spawn(fmt.Sprintf("rung%d", i), 5+i, at(float64(i)), func(tc *TC) {
-					tc.Consume(tu(5))
-				})
-			}
-			// Phase 2: a serial burst after the ladder has drained.
-			const burst = 50
-			done := 0
-			for i := 0; i < burst; i++ {
-				ex.Spawn(fmt.Sprintf("b%d", i), 1, at(float64(40+i)), func(tc *TC) {
-					tc.Consume(tu(0.5))
-					done++
-				})
-			}
-			if err := ex.Run(at(200)); err != nil {
-				t.Fatal(err)
-			}
-			ex.Shutdown()
-			if done != burst {
-				t.Fatalf("completed %d of %d burst jobs", done, burst)
-			}
-			if peak, spawned := ex.PoolPeak(), ex.PoolSpawned(); spawned != peak {
-				t.Errorf("spawned %d workers for peak %d: burst churned retire/respawn", spawned, peak)
-			}
-		})
-	}
+	t.Run(DirectKernel.String(), func(t *testing.T) {
+		ex := NewWithOptions(nil, Options{MaxGoroutines: 1})
+		// Phase 1: a priority ladder forces the pool two over its cap.
+		for i := 0; i < 3; i++ {
+			ex.Spawn(fmt.Sprintf("rung%d", i), 5+i, at(float64(i)), func(tc *TC) {
+				tc.Consume(tu(5))
+			})
+		}
+		// Phase 2: a serial burst after the ladder has drained.
+		const burst = 50
+		done := 0
+		for i := 0; i < burst; i++ {
+			ex.Spawn(fmt.Sprintf("b%d", i), 1, at(float64(40+i)), func(tc *TC) {
+				tc.Consume(tu(0.5))
+				done++
+			})
+		}
+		if err := ex.Run(at(200)); err != nil {
+			t.Fatal(err)
+		}
+		ex.Shutdown()
+		if done != burst {
+			t.Fatalf("completed %d of %d burst jobs", done, burst)
+		}
+		if peak, spawned := ex.PoolPeak(), ex.PoolSpawned(); spawned != peak {
+			t.Errorf("spawned %d workers for peak %d: burst churned retire/respawn", spawned, peak)
+		}
+	})
 }
 
 // TestPooledRetireConvergesToCap: after a transient over-cap episode, the
@@ -205,18 +199,16 @@ func TestPooledAccountingDeterministic(t *testing.T) {
 // TestPooledErrorSurfaces: a panicking body on a pool worker reports its
 // error exactly like a dedicated goroutine would.
 func TestPooledErrorSurfaces(t *testing.T) {
-	for _, kind := range []Kernel{DirectKernel, ChannelKernel} {
-		ex := NewWithOptions(nil, Options{Kernel: kind, MaxGoroutines: 2})
-		ex.Spawn("ok", 2, 0, func(tc *TC) { tc.Consume(tu(1)) })
-		ex.Spawn("bad", 1, 0, func(tc *TC) {
-			tc.Consume(tu(1))
-			panic("boom")
-		})
-		err := ex.Run(at(10))
-		ex.Shutdown()
-		if err == nil {
-			t.Fatalf("%v pooled: panic not surfaced", kind)
-		}
+	ex := NewWithOptions(nil, Options{MaxGoroutines: 2})
+	ex.Spawn("ok", 2, 0, func(tc *TC) { tc.Consume(tu(1)) })
+	ex.Spawn("bad", 1, 0, func(tc *TC) {
+		tc.Consume(tu(1))
+		panic("boom")
+	})
+	err := ex.Run(at(10))
+	ex.Shutdown()
+	if err == nil {
+		t.Fatal("panic not surfaced")
 	}
 }
 

@@ -107,16 +107,12 @@ func (th *Thread) Migrations() int { return th.migrations }
 // schedules from one shared queue regardless.
 func (ex *Exec) SpawnOn(name string, prio int, startAt rtime.Time, cpu int, body func(tc *TC)) *Thread {
 	th := ex.newThread(name, prio, cpu, body)
-	// In pooled mode the body is handed to a pool worker lazily, the first
-	// time the scheduler actually runs the thread (see handoff/runChannel);
-	// threads that never run never cost a goroutine.
-	if !ex.pooled {
+	// The direct kernel hands the body to a pool worker lazily, the first
+	// time the scheduler actually runs the thread (see handoff); threads
+	// that never run never cost a goroutine.
+	if ex.kind == ChannelKernel {
 		th.started = true
-		if ex.kind == ChannelKernel {
-			go th.channelRun()
-		} else {
-			go th.directRun()
-		}
+		go th.channelRun()
 	}
 	ex.scheduleFirstRelease(th, startAt)
 	return th

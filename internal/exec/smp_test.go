@@ -9,12 +9,11 @@ import (
 )
 
 // SMP differential tests: every multiprocessor scenario is built
-// identically on {ChannelKernel, DirectKernel} x {goroutine-per-thread,
-// pooled, pooled+activation} x M in {1, 2, 4} and must produce
-// trace-for-trace identical schedules, with the channel per-thread
-// configuration as the M-CPU reference implementation. The M=1 runs must
-// additionally match the plain uniprocessor executive byte for byte
-// (TestSMPM1MatchesUniprocessor).
+// identically on {ChannelKernel, DirectKernel at two pool sizes} x {loop,
+// activation} x M in {1, 2, 4} and must produce trace-for-trace identical
+// schedules, with the channel kernel's loop formulation as the M-CPU
+// reference implementation. The M=1 runs must additionally match the plain
+// uniprocessor executive byte for byte (TestSMPM1MatchesUniprocessor).
 
 // smpScenario builds one workload. activation selects the dispatch
 // formulation for its periodic entities (SpawnPeriodicOn vs a looping
@@ -135,9 +134,8 @@ var smpDiffConfigs = []struct {
 }{
 	{"channel/thread", ChannelKernel, 0, false},
 	{"direct/thread", DirectKernel, 0, false},
-	{"channel/pooled", ChannelKernel, 3, false},
 	{"direct/pooled", DirectKernel, 3, false},
-	{"channel/activation", ChannelKernel, 3, true},
+	{"channel/activation", ChannelKernel, 0, true},
 	{"direct/activation", DirectKernel, 3, true},
 }
 
@@ -153,7 +151,7 @@ var smpPolicies = []struct {
 
 // TestSMPDiffCorpus runs every SMP scenario through the full
 // configuration x policy x M matrix and requires trace-for-trace identity
-// with the channel per-thread reference at the same (policy, M), a valid
+// with the channel reference at the same (policy, M), a valid
 // m-CPU occupancy, and a clean invariant net.
 func TestSMPDiffCorpus(t *testing.T) {
 	for _, sc := range smpCorpus {
@@ -233,7 +231,7 @@ func TestSMPM1MatchesUniprocessor(t *testing.T) {
 // TestSMPDiffFuzz drives randomized workloads — random thread counts,
 // priorities, affinities, costs, policies and CPU counts — through the
 // configuration matrix: every configuration must match the channel
-// per-thread reference trace-for-trace, and rerunning the reference must
+// reference trace-for-trace, and rerunning the reference must
 // reproduce itself exactly (determinism across reruns and worker counts).
 func TestSMPDiffFuzz(t *testing.T) {
 	trials := 40
@@ -309,7 +307,6 @@ func TestSMPDiffFuzz(t *testing.T) {
 			}{
 				{"rerun", ChannelKernel, 0, false},
 				{"direct", DirectKernel, 0, false},
-				{"channel-w2", ChannelKernel, 2, false},
 				{"direct-w8", DirectKernel, 8, false},
 				{"direct-activation", DirectKernel, 2, true},
 			} {

@@ -27,7 +27,8 @@ type Stats struct {
 	TimerHeapMax *obs.Gauge
 	// ReadyMax is the high-water mark across the per-domain ready queues.
 	ReadyMax *obs.Gauge
-	// PoolSpawns counts worker goroutines created by the pooled mode.
+	// PoolSpawns counts worker goroutines created by the direct kernel's
+	// pool.
 	PoolSpawns *obs.Counter
 	// PoolRetires counts pool workers retired after a body finished.
 	PoolRetires *obs.Counter

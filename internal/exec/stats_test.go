@@ -9,7 +9,7 @@ import (
 )
 
 // statsScenario exercises every hook family: a preemption, periodic
-// dispatches with a timer queue, and (with MaxGoroutines set) pool churn.
+// dispatches with a timer queue, and pool churn.
 func statsScenario(ex *Exec) {
 	ex.Spawn("lo", 1, 0, func(tc *TC) { tc.Consume(rtime.TUs(6)) })
 	ex.Spawn("hi", 2, rtime.AtTU(2), func(tc *TC) { tc.Consume(rtime.TUs(2)) })
@@ -53,19 +53,20 @@ func TestStatsDoNotPerturbSchedule(t *testing.T) {
 }
 
 // The hooks must actually count: a workload with a preemption, periodic
-// dispatches and timers leaves nonzero instruments behind.
+// dispatches and timers leaves nonzero instruments behind. The default
+// executive runs every body on its worker pool, so pool spawns count too.
 func TestStatsCountKernelWork(t *testing.T) {
 	reg := obs.NewRegistry()
 	runStatsScenario(t, Options{Stats: NewStats(reg)})
 	m := reg.Map()
-	for _, name := range []string{"exec.context_switches", "exec.preemptions", "exec.dispatches", "exec.timer_heap_max", "exec.ready_max"} {
+	for _, name := range []string{"exec.context_switches", "exec.preemptions", "exec.dispatches", "exec.timer_heap_max", "exec.ready_max", "exec.pool_spawns"} {
 		if m[name] <= 0 {
 			t.Errorf("%s = %d, want > 0 (all: %v)", name, m[name], m)
 		}
 	}
 }
 
-// Pooled mode's spawn counter agrees with the executive's own accounting,
+// The pool's spawn counter agrees with the executive's own accounting,
 // and queued starts raise the queue high-water mark.
 func TestStatsPoolCounters(t *testing.T) {
 	reg := obs.NewRegistry()

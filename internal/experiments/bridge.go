@@ -42,9 +42,8 @@ type ExecModel struct {
 	// kernel differential tests set exec.ChannelKernel to re-run Tables 3/5
 	// workloads on the reference implementation.
 	Kernel exec.Kernel
-	// MaxGoroutines > 0 multiplexes executive thread bodies over a bounded
-	// worker pool (exec.Options.MaxGoroutines) instead of one goroutine
-	// per thread. Zero keeps the default goroutine-per-thread mode.
+	// MaxGoroutines is the resident size of the direct kernel's worker
+	// pool (exec.Options.MaxGoroutines); it never changes a schedule.
 	MaxGoroutines int
 	// PeriodicActivation lowers the workload's periodic threads onto the
 	// executive's activation-driven dispatch path

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"rtsj/internal/gen"
@@ -66,16 +67,21 @@ func (s CampaignSpec) Validate() error {
 	if len(s.Points) == 0 {
 		return fmt.Errorf("campaign: no sweep points")
 	}
+	// Every float check is written so NaN fails it: NaN compares false
+	// with everything, so "d <= 0" alone would let it through.
 	for i, d := range s.Points {
-		if d <= 0 {
-			return fmt.Errorf("campaign: point %d: density %v must be positive", i, d)
+		if !finite(d) || d <= 0 {
+			return fmt.Errorf("campaign: point %d: density %v must be positive and finite", i, d)
 		}
 	}
 	if s.Systems <= 0 {
 		return fmt.Errorf("campaign: systems per point must be positive (got %d)", s.Systems)
 	}
-	if s.ServerCapacity <= 0 || s.ServerPeriod <= 0 {
-		return fmt.Errorf("campaign: server capacity and period must be positive")
+	if !finite(s.AverageCost) || s.AverageCost < 0 || !finite(s.StdDeviation) || s.StdDeviation < 0 {
+		return fmt.Errorf("campaign: cost mean %v and deviation %v must be finite and >= 0", s.AverageCost, s.StdDeviation)
+	}
+	if !finite(s.ServerCapacity) || s.ServerCapacity <= 0 || !finite(s.ServerPeriod) || s.ServerPeriod <= 0 {
+		return fmt.Errorf("campaign: server capacity and period must be positive and finite")
 	}
 	if s.HorizonPeriods <= 0 {
 		return fmt.Errorf("campaign: horizon must be positive (got %d periods)", s.HorizonPeriods)
@@ -85,6 +91,9 @@ func (s CampaignSpec) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor an infinity.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // pointParams maps one sweep point onto generation parameters. The seed is
 // offset by the point index so every sweep point draws an independent

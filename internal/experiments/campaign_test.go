@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -391,6 +392,14 @@ func TestCampaignSpecValidate(t *testing.T) {
 		func(s *CampaignSpec) { s.ServerPeriod = 0 },
 		func(s *CampaignSpec) { s.HorizonPeriods = -1 },
 		func(s *CampaignSpec) { s.Policy = 99 },
+		func(s *CampaignSpec) { s.Points = []float64{1, math.NaN()} },
+		func(s *CampaignSpec) { s.Points = []float64{math.Inf(1)} },
+		func(s *CampaignSpec) { s.AverageCost = -1 },
+		func(s *CampaignSpec) { s.AverageCost = math.NaN() },
+		func(s *CampaignSpec) { s.StdDeviation = -0.5 },
+		func(s *CampaignSpec) { s.StdDeviation = math.Inf(1) },
+		func(s *CampaignSpec) { s.ServerCapacity = math.NaN() },
+		func(s *CampaignSpec) { s.ServerPeriod = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		s := testCampaignSpec()

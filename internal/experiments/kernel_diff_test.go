@@ -29,9 +29,10 @@ func TestExecutionTablesKernelIndependent(t *testing.T) {
 			}
 			model := DefaultExecModel()
 			// The full executive configuration matrix: both kernels, each
-			// in goroutine-per-thread, pooled and activation mode (the
-			// latter lowering periodic threads onto the activation dispatch
-			// path). channel/per-thread is the reference.
+			// with looping and activation periodic threads (the latter
+			// lowering them onto the activation dispatch path), and the
+			// direct kernel's worker pool at two resident sizes. The
+			// channel kernel with looping threads is the reference.
 			variants := []struct {
 				name          string
 				kernel        exec.Kernel
@@ -40,11 +41,10 @@ func TestExecutionTablesKernelIndependent(t *testing.T) {
 			}{
 				{"channel", exec.ChannelKernel, 0, false},
 				{"direct", exec.DirectKernel, 0, false},
-				{"channel-pooled", exec.ChannelKernel, 4, false},
 				{"direct-pooled", exec.DirectKernel, 4, false},
-				{"channel-activation", exec.ChannelKernel, 4, true},
+				{"channel-activation", exec.ChannelKernel, 0, true},
 				{"direct-activation", exec.DirectKernel, 4, true},
-				{"direct-activation-perthread", exec.DirectKernel, 0, true},
+				{"direct-activation-w0", exec.DirectKernel, 0, true},
 			}
 			for i, base := range systems {
 				sys := gen.WithServer(base, p, cfg.policy, 100)

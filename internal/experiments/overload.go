@@ -66,7 +66,7 @@ type OverloadParams struct {
 	// Kernel, MaxGoroutines and PeriodicActivation configure the
 	// executive, exactly as in ExecModel.
 	Kernel             exec.Kernel
-	MaxGoroutines      int  // pooled-worker cap; 0 runs a goroutine per thread
+	MaxGoroutines      int  // resident worker-pool size (direct kernel)
 	PeriodicActivation bool // activation-driven periodic dispatch
 }
 
@@ -109,7 +109,7 @@ type OverloadResult struct {
 	PeriodicMisses   int // hard periodic deadline misses
 	// CapacityFloor is the deepest pre-clamp capacity excursion observed.
 	CapacityFloor rtime.Duration
-	// PeakWorkers is the pool high-water mark (0 in per-thread mode).
+	// PeakWorkers is the pool high-water mark (0 on the channel kernel).
 	PeakWorkers int
 	// FinalTime is the virtual clock when the run stopped.
 	FinalTime rtime.Time
@@ -230,7 +230,7 @@ func RunOverload(p OverloadParams) (*OverloadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &OverloadResult{Scenario: p.Scenario, Events: len(sys.jobs), Fingerprint: 14695981039346656037}
+	res := &OverloadResult{Scenario: p.Scenario, Events: len(sys.jobs), Fingerprint: fnvOffset}
 	caps := []rtime.Duration{sys.capacity}
 	if p.Scenario == OverloadSaturation {
 		caps = []rtime.Duration{rtime.TUs(1), rtime.TUs(2), rtime.TUs(3), rtime.TUs(4)}
@@ -278,8 +278,8 @@ func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult)
 			if r.Now() > rel.Add(pt.Period) {
 				periodicMisses++
 			}
-			fp = (fp ^ taskIdx) * 1099511628211
-			fp = (fp ^ uint64(r.Now())) * 1099511628211
+			fp = fnvMix(fp, taskIdx)
+			fp = fnvMix(fp, uint64(r.Now()))
 		}
 		if p.PeriodicActivation {
 			vm.NewActivationThread(pt.Name, pt.Priority, pp, work)
@@ -383,10 +383,10 @@ func runOverloadOnce(p OverloadParams, sys *overloadSystem, res *OverloadResult)
 		case rec.Shed:
 			code = 4
 		}
-		fp = (fp ^ uint64(i)) * 1099511628211
-		fp = (fp ^ code) * 1099511628211
-		fp = (fp ^ uint64(rec.Released)) * 1099511628211
-		fp = (fp ^ uint64(rec.Finished)) * 1099511628211
+		fp = fnvMix(fp, uint64(i))
+		fp = fnvMix(fp, code)
+		fp = fnvMix(fp, uint64(rec.Released))
+		fp = fnvMix(fp, uint64(rec.Finished))
 	}
 
 	res.Released += ct.Released

@@ -8,8 +8,11 @@ import (
 )
 
 // overloadConfigs is the full executive configuration matrix the overload
-// fingerprints are pinned across: {channel, direct} kernels x
-// {goroutine-per-thread, pooled, pooled+activation} dispatch modes.
+// fingerprints are pinned across: {channel, direct} kernels x {thread,
+// pooled, activation} rows. "thread" runs with a resident pool size of 0,
+// "pooled" with 8. The channel kernel ignores the pool size (it runs one
+// goroutine per thread), so its pooled row pins that contract: setting
+// MaxGoroutines on the reference changes nothing.
 var overloadConfigs = []struct {
 	name       string
 	kernel     exec.Kernel

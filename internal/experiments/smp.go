@@ -62,7 +62,7 @@ type SMPParams struct {
 	// tasks as activation entities (exec.SpawnPeriodicOn); otherwise they
 	// are looping threads replicating the same kernel-call sequence.
 	Kernel             exec.Kernel
-	MaxGoroutines      int  // pooled-worker cap; 0 runs a goroutine per thread
+	MaxGoroutines      int  // resident worker-pool size (direct kernel)
 	PeriodicActivation bool // activation-driven periodic dispatch
 }
 
@@ -104,8 +104,8 @@ type SMPResult struct {
 	Skips int
 	// Migrations totals the cross-CPU thread migrations.
 	Migrations int
-	// PeakWorkers is the pool high-water mark across the sweep (0 in
-	// per-thread mode).
+	// PeakWorkers is the pool high-water mark across the sweep (0 on the
+	// channel kernel).
 	PeakWorkers int
 	// FinalTime is the virtual clock of the last point's run.
 	FinalTime rtime.Time
@@ -213,7 +213,7 @@ func RunSMP(p SMPParams) (*SMPResult, error) {
 		CPUs:        p.CPUs,
 		Policy:      p.Policy,
 		Sched:       p.Sched,
-		Fingerprint: 14695981039346656037,
+		Fingerprint: fnvOffset,
 	}
 	var sweep []float64
 	var costs []rtime.Duration
@@ -251,10 +251,10 @@ func RunSMP(p SMPParams) (*SMPResult, error) {
 		res.Migrations += pt.Migrations
 	}
 	for _, pt := range res.Points {
-		res.Fingerprint = (res.Fingerprint ^ uint64(pt.Releases)) * 1099511628211
-		res.Fingerprint = (res.Fingerprint ^ uint64(pt.Misses)) * 1099511628211
-		res.Fingerprint = (res.Fingerprint ^ uint64(pt.Skips)) * 1099511628211
-		res.Fingerprint = (res.Fingerprint ^ uint64(pt.Migrations)) * 1099511628211
+		res.Fingerprint = fnvMix(res.Fingerprint, uint64(pt.Releases))
+		res.Fingerprint = fnvMix(res.Fingerprint, uint64(pt.Misses))
+		res.Fingerprint = fnvMix(res.Fingerprint, uint64(pt.Skips))
+		res.Fingerprint = fnvMix(res.Fingerprint, uint64(pt.Migrations))
 	}
 	if res.Releases == 0 {
 		res.Violations = append(res.Violations, "no releases completed")
@@ -286,8 +286,8 @@ func runSMPOnce(p SMPParams, res *SMPResult, point int, util float64, cost rtime
 			if now > rel.Add(deadline) {
 				pt.Misses++
 			}
-			res.Fingerprint = (res.Fingerprint ^ uint64(i)) * 1099511628211
-			res.Fingerprint = (res.Fingerprint ^ uint64(now)) * 1099511628211
+			res.Fingerprint = fnvMix(res.Fingerprint, uint64(i))
+			res.Fingerprint = fnvMix(res.Fingerprint, uint64(now))
 		}
 		name := fmt.Sprintf("tau%d", i)
 		if p.PeriodicActivation {

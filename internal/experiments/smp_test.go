@@ -17,10 +17,9 @@ type smpKey struct {
 }
 
 // smpFingerprints pins every canonical SMP sweep at M in {2, 4} across the
-// whole executive matrix (overloadConfigs: {channel, direct} x
-// {per-thread, pooled, pooled+activation}). A change here means the
-// multiprocessor schedules changed — intentional changes must update the
-// whole table together. Note clustered at M=2 equals global at M=2: one
+// whole executive matrix (overloadConfigs: {channel, direct} x {thread,
+// pooled, activation}). A change here means the multiprocessor schedules
+// changed — intentional changes must update the whole table together. Note clustered at M=2 equals global at M=2: one
 // cluster of two CPUs is a single global domain.
 var smpFingerprints = map[smpKey]uint64{
 	{SMPMissCurve, 2, exec.Global, "fp"}:       0x1db12f35969e0720,

@@ -13,10 +13,10 @@ import (
 // of long-running periodic entities — the shape of the paper's periodic
 // background load and its polling/deferrable/sporadic servers — run
 // forever at a modest total utilization. In looping mode every entity pins
-// a goroutine (or pool worker) for the whole run, so the pooled
-// executive's goroutine bound degrades back to one per entity; in
-// activation mode an entity owns no goroutine between releases and the
-// whole system runs on a pool-sized worker set.
+// a pool worker for the whole run, so the worker pool's goroutine bound
+// degrades back to one per entity; in activation mode an entity owns no
+// goroutine between releases and the whole system runs on a pool-sized
+// worker set.
 
 // SteadyStateParams configures the scenario generator. Everything derives
 // deterministically from Seed, so two runs on any executive configuration
@@ -32,10 +32,9 @@ type SteadyStateParams struct {
 	Utilization float64
 	// Seed drives period classes and offsets.
 	Seed uint64
-	// Kernel and MaxGoroutines configure the executive (MaxGoroutines 0 =
-	// goroutine-per-thread).
+	// Kernel and MaxGoroutines configure the executive.
 	Kernel        exec.Kernel
-	MaxGoroutines int // pooled-worker cap; 0 runs a goroutine per thread
+	MaxGoroutines int // resident worker-pool size (direct kernel)
 	// Activation selects the activation dispatch path (SpawnPeriodic); the
 	// default false runs classic parked loops for comparison.
 	Activation bool
@@ -75,8 +74,8 @@ type SteadyStateResult struct {
 	// Horizon and FinalTime delimit the run.
 	Horizon   rtime.Time
 	FinalTime rtime.Time // virtual clock when the run stopped
-	// PeakWorkers is the pool goroutine high-water mark (0 in
-	// goroutine-per-thread mode).
+	// PeakWorkers is the pool goroutine high-water mark (0 on the channel
+	// kernel).
 	PeakWorkers int
 	// Fingerprint hashes every activation completion (entity, instant) in
 	// schedule order: two runs are schedule-identical iff it matches.
@@ -96,7 +95,7 @@ func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 	}
 	rng := &stressRand{s: p.Seed ^ 0xa076_1d64_78bd_642f}
 	ex := exec.NewWithOptions(p.Sink, exec.Options{Kernel: p.Kernel, MaxGoroutines: p.MaxGoroutines, Stats: p.Stats})
-	res := &SteadyStateResult{Entities: p.Entities, Fingerprint: 14695981039346656037}
+	res := &SteadyStateResult{Entities: p.Entities, Fingerprint: fnvOffset}
 	res.Horizon = rtime.AtTU(p.HorizonTU)
 
 	loopMissed := 0
@@ -118,8 +117,8 @@ func RunPeriodicSteadyState(p SteadyStateParams) (*SteadyStateResult, error) {
 		work := func(tc *exec.TC) {
 			tc.Consume(cost)
 			res.Activations++
-			res.Fingerprint = (res.Fingerprint ^ uint64(i)) * 1099511628211
-			res.Fingerprint = (res.Fingerprint ^ uint64(tc.Now())) * 1099511628211
+			res.Fingerprint = fnvMix(res.Fingerprint, uint64(i))
+			res.Fingerprint = fnvMix(res.Fingerprint, uint64(tc.Now()))
 		}
 		if p.Activation {
 			th := ex.SpawnPeriodic(name, prio, exec.ActivationSpec{Start: offset, Period: period}, work)

@@ -43,11 +43,11 @@ func TestSteadyStateBoundedGoroutines(t *testing.T) {
 
 // TestSteadyStateSchedulesIdenticalAcrossConfigs differential-tests the
 // steady-state scenario over the full executive matrix: loop and
-// activation formulations, both kernels, per-thread and pooled — the
+// activation formulations, both kernels, two worker-pool sizes — the
 // activation fingerprint must match the looping reference exactly.
 func TestSteadyStateSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	p := DefaultSteadyStateParams()
-	p.Entities = 400 // keep the per-thread and channel runs fast
+	p.Entities = 400 // keep the looping and channel runs fast
 	p.HorizonTU = 300
 	if testing.Short() {
 		p.Entities = 120
@@ -71,9 +71,9 @@ func TestSteadyStateSchedulesIdenticalAcrossConfigs(t *testing.T) {
 	}{
 		{"direct-loop", exec.DirectKernel, 0, false},
 		{"direct-loop-pooled", exec.DirectKernel, 8, false},
-		{"channel-activation", exec.ChannelKernel, 8, true},
+		{"channel-activation", exec.ChannelKernel, 0, true},
 		{"direct-activation", exec.DirectKernel, 8, true},
-		{"direct-activation-perthread", exec.DirectKernel, 0, true},
+		{"direct-activation-w0", exec.DirectKernel, 0, true},
 	} {
 		q := p
 		q.Kernel = cfg.kernel

@@ -9,14 +9,15 @@ import (
 	"rtsj/internal/trace"
 )
 
-// Large-N stress scenario: the workload the pooled executive
-// (exec.Options.MaxGoroutines) opens up. Thousands to tens of thousands of
-// one-shot sporadic job threads — each released once, consuming a short
-// burst of CPU to completion — arrive on top of a small set of periodic
-// background threads. In goroutine-per-thread mode such a system costs one
-// OS-level goroutine per job; pooled, the goroutine count is bounded by the
-// preemption depth (roughly the number of priority bands) because each
-// worker is recycled as soon as its job completes.
+// Large-N stress scenario: the workload the direct kernel's worker pool
+// opens up. Thousands to tens of thousands of one-shot sporadic job
+// threads — each released once, consuming a short burst of CPU to
+// completion — arrive on top of a small set of periodic background
+// threads. With one goroutine per thread (the channel reference kernel)
+// such a system costs one OS-level goroutine per job; on the pool, the
+// goroutine count is bounded by the preemption depth (roughly the number of
+// priority bands) because each worker is recycled as soon as its job
+// completes.
 
 // StressParams configures the scenario generator. Everything is derived
 // deterministically from Seed, so two runs (on any executive
@@ -32,10 +33,9 @@ type StressParams struct {
 	PriorityBands int
 	// Seed drives release times, costs and priorities.
 	Seed uint64
-	// Kernel and MaxGoroutines configure the executive (MaxGoroutines 0 =
-	// goroutine-per-thread).
+	// Kernel and MaxGoroutines configure the executive.
 	Kernel        exec.Kernel
-	MaxGoroutines int // pooled-worker cap; 0 runs a goroutine per thread
+	MaxGoroutines int // resident worker-pool size (direct kernel)
 	// PeriodicActivation runs the background threads on the activation
 	// dispatch path (exec.SpawnPeriodic) instead of parked loops: same
 	// schedule, no pinned worker per background thread.
@@ -82,16 +82,18 @@ type StressResult struct {
 	TotalConsumed rtime.Duration // virtual time consumed by sporadic jobs
 	Horizon       rtime.Time     // configured stop instant
 	FinalTime     rtime.Time     // virtual clock when the run stopped
-	PeakWorkers   int            // pool goroutine high-water mark (0 in per-thread mode)
+	PeakWorkers   int            // pool goroutine high-water mark (0 on the channel kernel)
 	Migrations    int            // cross-CPU migrations (0 unless CPUs > 1)
 	// Fingerprint hashes every job completion (index, instant) in
 	// schedule order: two runs are schedule-identical iff it matches.
 	Fingerprint uint64
 }
 
-// stressRand is the same splitmix-style deterministic generator the
-// executive tests use; the stress scenario must not depend on math/rand's
-// version-dependent stream.
+// stressRand is a 64-bit linear congruential generator (Knuth's MMIX
+// constants, the step the executive tests' detRand also uses), returning
+// the top 47 bits; the stress scenario must not depend on math/rand's
+// version-dependent stream. It is not splitmix64: switching it to
+// gen.SplitMix would change every stress fingerprint.
 type stressRand struct{ s uint64 }
 
 func (r *stressRand) next() uint64 {
@@ -111,7 +113,7 @@ func RunStress(p StressParams) (*StressResult, error) {
 	}
 	rng := &stressRand{s: p.Seed ^ 0x9e3779b97f4a7c15}
 	ex := exec.NewWithOptions(p.Sink, exec.Options{Kernel: p.Kernel, MaxGoroutines: p.MaxGoroutines, CPUs: p.CPUs, Stats: p.Stats})
-	res := &StressResult{Jobs: p.Jobs, Fingerprint: 14695981039346656037}
+	res := &StressResult{Jobs: p.Jobs, Fingerprint: fnvOffset}
 
 	// Release window: jobs at ~0.5tu average cost, spread to ~55% load,
 	// leaving room for the background threads (~25%).
@@ -163,8 +165,8 @@ func RunStress(p StressParams) (*StressResult, error) {
 		ex.Spawn(fmt.Sprintf("job%d", i), prio, release, func(tc *exec.TC) {
 			tc.Consume(cost)
 			res.Completed++
-			res.Fingerprint = (res.Fingerprint ^ uint64(i)) * 1099511628211
-			res.Fingerprint = (res.Fingerprint ^ uint64(tc.Now())) * 1099511628211
+			res.Fingerprint = fnvMix(res.Fingerprint, uint64(i))
+			res.Fingerprint = fnvMix(res.Fingerprint, uint64(tc.Now()))
 		})
 	}
 

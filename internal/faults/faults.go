@@ -6,17 +6,19 @@
 // A Plan derives every fault from a hash of (seed, system index, job
 // index) — never from call order — so the fault schedule is a pure
 // function of the workload identity. The same plan applied to the same
-// system yields the same faults on every engine, kernel and worker mode:
-// {Channel, Direct} × {per-thread, pooled, activation} all see an
-// identical perturbed workload, which is what lets the overload scenarios
-// pin cross-configuration fingerprints.
+// system yields the same faults on every engine, kernel, worker-pool size
+// and periodic formulation: {Channel, Direct} × {loop, activation} all see
+// an identical perturbed workload, which is what lets the overload
+// scenarios pin cross-configuration fingerprints.
 package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
+	"rtsj/internal/gen"
 	"rtsj/internal/rtime"
 	"rtsj/internal/sim"
 )
@@ -73,33 +75,15 @@ const (
 	kindActivation = 0x9E6D62D06F151FD3
 )
 
-// rng is a splitmix64 stream, the same generator family used by
-// internal/gen for workload noise.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
-func (r *rng) float64() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}
-
-// stream seeds a fault-kind-specific generator for one (system, job)
-// coordinate. The constants match internal/gen's index mixing.
-func (p *Plan) stream(kind uint64, sysIndex, jobIndex int) rng {
+// stream seeds a fault-kind-specific splitmix64 generator (internal/gen's,
+// which also draws the workload noise) for one (system, job) coordinate.
+// The constants match internal/gen's index mixing.
+func (p *Plan) stream(kind uint64, sysIndex, jobIndex int) gen.SplitMix {
 	x := uint64(p.Seed) ^ kind ^
 		uint64(sysIndex)*0xA24BAED4963EE407 ^
 		uint64(jobIndex)*0x9FB21C651E98DF25
-	r := rng{s: x}
-	r.next() // decorrelate nearby coordinates
+	r := gen.NewSplitMix(x)
+	r.Next() // decorrelate nearby coordinates
 	return r
 }
 
@@ -121,21 +105,21 @@ func (p *Plan) JobFault(sysIndex, jobIndex int) Fault {
 	}
 	if p.DropProb > 0 {
 		r := p.stream(kindDrop, sysIndex, jobIndex)
-		if r.float64() < p.DropProb {
+		if r.Float64() < p.DropProb {
 			f.Dropped = true
 			return f
 		}
 	}
 	if p.OverrunProb > 0 && p.OverrunMax > 0 {
 		r := p.stream(kindOverrun, sysIndex, jobIndex)
-		if r.float64() < p.OverrunProb {
-			f.CostFactor = 1 + p.OverrunMax*(1-r.float64())
+		if r.Float64() < p.OverrunProb {
+			f.CostFactor = 1 + p.OverrunMax*(1-r.Float64())
 		}
 	}
 	if p.JitterProb > 0 && p.JitterMax > 0 {
 		r := p.stream(kindJitter, sysIndex, jobIndex)
-		if r.float64() < p.JitterProb {
-			f.Jitter = rtime.Duration(float64(p.JitterMax) * (1 - r.float64()))
+		if r.Float64() < p.JitterProb {
+			f.Jitter = rtime.Duration(float64(p.JitterMax) * (1 - r.Float64()))
 		}
 	}
 	return f
@@ -152,8 +136,8 @@ func (p *Plan) ActivationFault(sysIndex, taskIndex, release int) Fault {
 		return f
 	}
 	r := p.stream(kindActivation, sysIndex, taskIndex*0x10001+release)
-	if r.float64() < p.OverrunProb {
-		f.CostFactor = 1 + p.OverrunMax*(1-r.float64())
+	if r.Float64() < p.OverrunProb {
+		f.CostFactor = 1 + p.OverrunMax*(1-r.Float64())
 	}
 	return f
 }
@@ -218,17 +202,23 @@ func ParseArgs(fields []string) (*Plan, error) {
 		case "overrun":
 			err = parseProbPair(v, &p.OverrunProb, func(s string) error {
 				f, e := strconv.ParseFloat(s, 64)
+				if e == nil && (f < 0 || math.IsNaN(f) || math.IsInf(f, 1)) {
+					e = fmt.Errorf("max overrun %v must be finite and >= 0", f)
+				}
 				p.OverrunMax = f
 				return e
 			})
 		case "jitter":
 			err = parseProbPair(v, &p.JitterProb, func(s string) error {
 				d, e := rtime.ParseDuration(s)
+				if e == nil && d < 0 {
+					e = fmt.Errorf("max jitter %v must be >= 0", d)
+				}
 				p.JitterMax = d
 				return e
 			})
 		case "drop":
-			p.DropProb, err = strconv.ParseFloat(v, 64)
+			p.DropProb, err = parseProb(v)
 		default:
 			return nil, fmt.Errorf("faults: unknown option %q", k)
 		}
@@ -246,12 +236,21 @@ func parseProbPair(v string, prob *float64, parseArg func(string) error) error {
 	if !ok {
 		return fmt.Errorf("want prob:value")
 	}
-	p, err := strconv.ParseFloat(ps, 64)
+	p, err := parseProb(ps)
 	if err != nil {
 		return err
 	}
 	*prob = p
 	return parseArg(as)
+}
+
+// parseProb parses a probability, which must lie in [0, 1] (NaN does not).
+func parseProb(s string) (float64, error) {
+	p, err := strconv.ParseFloat(s, 64)
+	if err == nil && !(p >= 0 && p <= 1) {
+		err = fmt.Errorf("probability %v outside [0, 1]", p)
+	}
+	return p, err
 }
 
 // String renders the plan in the encoding Parse accepts. A nil plan

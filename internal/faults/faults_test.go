@@ -134,6 +134,7 @@ func TestParseStringRoundTrip(t *testing.T) {
 		"seed=7",
 		"seed=7 overrun=0.3:0.5",
 		"seed=-2 overrun=0.3:0.5 jitter=0.2:1.5tu drop=0.05",
+		"seed=1 overrun=1:0.5 jitter=1:2tu drop=1",
 	} {
 		p, err := Parse(s)
 		if err != nil {
@@ -153,7 +154,11 @@ func TestParseStringRoundTrip(t *testing.T) {
 			t.Fatalf("%q: want nil plan, got %+v, %v", s, p, err)
 		}
 	}
-	for _, s := range []string{"bogus", "seed", "seed=x", "overrun=0.3", "jitter=0.1:zz", "what=1"} {
+	for _, s := range []string{"bogus", "seed", "seed=x", "overrun=0.3", "jitter=0.1:zz", "what=1",
+		"drop=NaN", "drop=2", "drop=-0.1", "drop=Inf",
+		"overrun=-1:3", "overrun=NaN:0.5", "overrun=1.5:0.5",
+		"overrun=0.3:-1", "overrun=0.3:NaN", "overrun=0.3:Inf",
+		"jitter=2:1tu", "jitter=0.1:-1tu", "jitter=0.1:NaN", "jitter=0.1:1e300tu"} {
 		if _, err := Parse(s); err == nil {
 			t.Fatalf("%q: want parse error", s)
 		}

@@ -133,14 +133,14 @@ func genSystem(p Params, r *rng) sim.System {
 		count := r.poisson(lambda)
 		arrivals = make([]float64, count)
 		for i := range arrivals {
-			arrivals[i] = r.float64() * horizonTU
+			arrivals[i] = r.Float64() * horizonTU
 		}
 	default: // PerPeriodArrivals
 		perPeriod := int(p.TaskDensity + 0.5)
 		for k := 0; k < p.HorizonPeriods; k++ {
 			for i := 0; i < perPeriod; i++ {
 				arrivals = append(arrivals,
-					(float64(k)+r.float64())*p.ServerPeriod)
+					(float64(k)+r.Float64())*p.ServerPeriod)
 			}
 		}
 	}
@@ -185,14 +185,14 @@ func mmppArrivals(p Params, r *rng, horizonTU float64) []float64 {
 		if burst {
 			mean, rate = burstMean, calmRate*burstFactor
 		}
-		sojourn := -mean * p.ServerPeriod * math.Log(1-r.float64())
+		sojourn := -mean * p.ServerPeriod * math.Log(1-r.Float64())
 		end := t + sojourn
 		if end > horizonTU {
 			end = horizonTU
 		}
 		n := r.poisson(rate * (end - t))
 		for i := 0; i < n; i++ {
-			arrivals = append(arrivals, t+r.float64()*(end-t))
+			arrivals = append(arrivals, t+r.Float64()*(end-t))
 		}
 		t = end
 		burst = !burst
@@ -247,18 +247,18 @@ func sortFloats(a []float64) {
 	}
 }
 
-// rng is a splitmix64 generator: tiny, fast, and stable across Go versions
-// and platforms (the paper passes a seed "in order to generate the same
-// systems on multiple platforms").
-type rng struct {
-	s     uint64
-	spare float64
-	has   bool
-}
+// SplitMix is a splitmix64 generator: tiny, fast, and stable across Go
+// versions and platforms (the paper passes a seed "in order to generate the
+// same systems on multiple platforms"). It is the repository's one
+// splitmix64 implementation; internal/faults draws its fault streams from
+// it too.
+type SplitMix struct{ s uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{s: seed} }
+// NewSplitMix returns a generator whose state starts at seed.
+func NewSplitMix(seed uint64) SplitMix { return SplitMix{s: seed} }
 
-func (r *rng) next() uint64 {
+// Next advances the stream and returns its next 64-bit value.
+func (r *SplitMix) Next() uint64 {
 	r.s += 0x9E3779B97F4A7C15
 	z := r.s
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -266,10 +266,20 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// float64 returns a uniform value in [0, 1).
-func (r *rng) float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
+// Float64 returns a uniform value in [0, 1).
+func (r *SplitMix) Float64() float64 {
+	return float64(r.Next()>>11) / (1 << 53)
 }
+
+// rng is the workload generator's stream: splitmix64 plus the cached spare
+// of the Box-Muller normal draw.
+type rng struct {
+	SplitMix
+	spare float64
+	has   bool
+}
+
+func newRNG(seed uint64) *rng { return &rng{SplitMix: NewSplitMix(seed)} }
 
 // norm returns a standard normal value (Box-Muller, with the spare cached).
 func (r *rng) norm() float64 {
@@ -279,9 +289,9 @@ func (r *rng) norm() float64 {
 	}
 	var u, v float64
 	for u == 0 {
-		u = r.float64()
+		u = r.Float64()
 	}
-	v = r.float64()
+	v = r.Float64()
 	mag := math.Sqrt(-2 * math.Log(u))
 	r.spare = mag * math.Sin(2*math.Pi*v)
 	r.has = true
@@ -298,7 +308,7 @@ func (r *rng) poisson(lambda float64) int {
 	k := 0
 	p := 1.0
 	for {
-		p *= r.float64()
+		p *= r.Float64()
 		if p <= l {
 			return k
 		}
@@ -313,5 +323,5 @@ func (r *rng) poisson(lambda float64) int {
 // independent of generation order, for the execution model's WCET jitter.
 func Noise(seed int64, sysIndex, jobIndex int) float64 {
 	r := newRNG(uint64(seed) ^ uint64(sysIndex)*0xA24BAED4963EE407 ^ uint64(jobIndex)*0x9FB21C651E98DF25)
-	return r.float64()
+	return r.Float64()
 }

@@ -149,7 +149,7 @@ func TestRNGUniformity(t *testing.T) {
 	const n = 100000
 	buckets := [10]int{}
 	for i := 0; i < n; i++ {
-		v := r.float64()
+		v := r.Float64()
 		if v < 0 || v >= 1 {
 			t.Fatalf("float64 out of range: %v", v)
 		}

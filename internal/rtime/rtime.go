@@ -142,7 +142,8 @@ func formatTU(v float64) string {
 
 // ParseDuration parses durations written in time units ("3tu", "2.5tu"),
 // milliseconds ("3ms"), microseconds ("250us"), or bare numbers interpreted
-// as time units ("3").
+// as time units ("3"). NaN, infinities and values outside the Duration
+// range are rejected.
 func ParseDuration(s string) (Duration, error) {
 	orig := s
 	s = strings.TrimSpace(s)
@@ -163,5 +164,11 @@ func ParseDuration(s string) (Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("rtime: cannot parse duration %q: %v", orig, err)
 	}
-	return Duration(math.Round(v * float64(unit))), nil
+	x := math.Round(v * float64(unit))
+	// float64(math.MaxInt64) rounds up to 2^63, itself out of range; the
+	// comparisons are false for NaN, so it needs its own test.
+	if math.IsNaN(x) || x < math.MinInt64 || x >= math.MaxInt64 {
+		return 0, fmt.Errorf("rtime: duration %q is out of range", orig)
+	}
+	return Duration(x), nil
 }

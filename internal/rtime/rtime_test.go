@@ -121,6 +121,15 @@ func TestParseDuration(t *testing.T) {
 		{" 4 tu", 4 * TU, true},
 		{"abc", 0, false},
 		{"", 0, false},
+		{"-2tu", -2 * TU, true},
+		{"NaN", 0, false},
+		{"nan tu", 0, false},
+		{"Inf", 0, false},
+		{"-Infms", 0, false},
+		{"1e300tu", 0, false},
+		{"-1e300tu", 0, false},
+		{"9.3e12tu", 0, false},
+		{"1e19ns", 0, false},
 	}
 	for _, c := range cases {
 		got, err := ParseDuration(c.in)

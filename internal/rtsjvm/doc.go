@@ -16,8 +16,8 @@
 // NewVM is the convenience constructor (direct kernel, always-readable
 // trace); NewVMKernel picks the executive kernel explicitly; NewVMSink is
 // fully explicit — any trace.Sink (nil or trace.Nop for the metrics-only
-// fast path) and any exec.Options, including the pooled thread-body mode
-// (exec.Options.MaxGoroutines).
+// fast path) and any exec.Options, including the resident size of the
+// direct kernel's worker pool (exec.Options.MaxGoroutines).
 //
 // # Periodic emulation modes
 //
@@ -32,9 +32,9 @@
 //     and returning from the body is the release boundary; the thread owns
 //     no goroutine between releases.
 //
-// Prefer activation mode when a workload carries many periodic entities on
-// a pooled executive: looping bodies pin one pool worker each for the whole
-// run, while activations keep the goroutine count at the pool size.
+// Prefer activation mode when a workload carries many periodic entities:
+// looping bodies pin one pool worker each for the whole run, while
+// activations keep the goroutine count at the pool size.
 // Overrun semantics match exactly: releases the body overran past are
 // skipped and counted (RTC.Missed / exec.Thread.MissedActivations), the
 // RTSJ's deadline-miss handling for the default no-miss-handler

@@ -136,15 +136,14 @@ var vmCorpus = []vmScenario{
 }
 
 // vmDiffConfigs is the executive configuration matrix the corpus runs on:
-// both kernels, each in goroutine-per-thread and pooled mode. The channel
-// per-thread configuration is the reference.
+// the channel kernel (one goroutine per thread), which is the reference,
+// and the direct kernel's worker pool at two resident sizes.
 var vmDiffConfigs = []struct {
 	name string
 	opts exec.Options
 }{
 	{"channel", exec.Options{Kernel: exec.ChannelKernel}},
 	{"direct", exec.Options{Kernel: exec.DirectKernel}},
-	{"channel-pooled", exec.Options{Kernel: exec.ChannelKernel, MaxGoroutines: 2}},
 	{"direct-pooled", exec.Options{Kernel: exec.DirectKernel, MaxGoroutines: 2}},
 	// The M=1 SMP reduction must be byte-identical to the uniprocessor
 	// schedule on the whole VM corpus too.

@@ -14,8 +14,8 @@ import (
 // (NewRealtimeThread) and the same thread written as a per-release
 // activation body (NewActivationThread) must produce trace-for-trace
 // identical schedules on every executive configuration — the
-// {Channel, Direct} × {per-thread, pooled} × {loop, activation} matrix,
-// with channel/per-thread/loop as the reference.
+// {Channel, Direct at two pool sizes} × {loop, activation} matrix, with
+// channel/loop as the reference.
 
 // periodicScenario builds a VM workload from a per-release work function
 // for each periodic thread, so the same scenario can be expressed in
@@ -89,7 +89,6 @@ func TestPeriodicModeDiffCorpus(t *testing.T) {
 	}{
 		{"channel", exec.Options{Kernel: exec.ChannelKernel}},
 		{"direct", exec.Options{Kernel: exec.DirectKernel}},
-		{"channel-pooled", exec.Options{Kernel: exec.ChannelKernel, MaxGoroutines: 2}},
 		{"direct-pooled", exec.Options{Kernel: exec.DirectKernel, MaxGoroutines: 2}},
 	}
 	for _, sc := range periodicModeCorpus {

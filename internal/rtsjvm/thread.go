@@ -64,9 +64,8 @@ func (vm *VM) NewRealtimeThreadOn(name string, prio, cpu int, pp *PeriodicParame
 
 // NewActivationThread creates a periodic realtime thread in activation
 // mode: body runs once per release, dispatched by the executive's
-// activation path (exec.SpawnPeriodic) on a pool worker when the VM runs
-// pooled (exec.Options.MaxGoroutines > 0), so the thread owns no goroutine
-// between releases. Returning from body is the activation-mode
+// activation path (exec.SpawnPeriodic) on a pool worker of the direct
+// kernel, so the thread owns no goroutine between releases. Returning from body is the activation-mode
 // WaitForNextPeriod: if the body overran past one or more releases, those
 // activations are skipped and counted (RTC.Missed), exactly as the looping
 // mode's WaitForNextPeriod would have — the two modes are

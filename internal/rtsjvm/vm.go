@@ -83,7 +83,7 @@ func NewVMKernel(tr *trace.Trace, oh Overheads, kind exec.Kernel) *VM {
 // NewVMSink is the fully explicit constructor: the VM records into sink
 // (nil or trace.Nop records nothing — the metrics-only fast path used by
 // the execution tables) on an executive configured by opts, including the
-// pooled thread-body mode (opts.MaxGoroutines).
+// resident size of the direct kernel's worker pool (opts.MaxGoroutines).
 func NewVMSink(sink trace.Sink, oh Overheads, opts exec.Options) *VM {
 	vm := &VM{
 		ex:      exec.NewWithOptions(sink, opts),
